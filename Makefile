@@ -13,10 +13,11 @@ GO ?= go
 all: build vet test
 
 # Race-detect the public API (cancellation semantics live in the root
-# package), the serving runtime, and the packages that shard work onto
-# the worker pool (16-goroutine shared-executable tests live in vm/serve).
+# package), the serving runtime, nimble-serve's handlers (priority requests
+# through the merge path), and the packages that shard work onto the worker
+# pool (16-goroutine shared-executable tests live in vm/serve).
 race:
-	$(GO) test -race . ./internal/serve ./internal/vm ./internal/runtime ./internal/kernels ./internal/conformance
+	$(GO) test -race . ./internal/serve ./cmd/nimble-serve ./internal/vm ./internal/runtime ./internal/kernels ./internal/conformance
 
 # The API boundary gates: no nimble/internal/... import outside internal/,
 # and the exported surface matches testdata/api.golden.
@@ -96,17 +97,17 @@ bench-full:
 
 # Serving sweeps. serve-bench regenerates the committed BENCH_serve.json:
 # the open-loop (Poisson-arrival) sweep, latency measured from the
-# scheduled arrival, with the pinned-stream A/B baseline for the decoder.
+# scheduled arrival.
 # serve-bench-closed is the legacy saturating-clients sweep.
 serve-bench:
 	$(GO) run ./cmd/nimble-bench -serve -arrival poisson -qps 16,32,48,64,96 \
-		-pin-streams -serve-workers 8 -serve-duration 2s -json BENCH_serve.json
+		-serve-workers 8 -serve-duration 2s -json BENCH_serve.json
 serve-bench-closed:
 	$(GO) run ./cmd/nimble-bench -serve -serve-workers 8
 # Quick CI variant: short cells, enough to catch harness rot and produce an
 # uploadable artifact without paying for full measurement windows.
 serve-bench-quick:
 	$(GO) run ./cmd/nimble-bench -serve -arrival poisson -qps 16,48 \
-		-pin-streams -serve-workers 4 -serve-duration 300ms -json BENCH_serve.json
+		-serve-workers 4 -serve-duration 300ms -json BENCH_serve.json
 
 ci: all staticcheck race api-check chaos-smoke registry-smoke bench

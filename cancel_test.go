@@ -11,14 +11,14 @@ import (
 	"nimble/internal/models"
 )
 
-func mlpService(t *testing.T, cfg ServiceConfig) (*models.MLP, *Service) {
+func mlpService(t *testing.T, opts ...ServiceOption) (*models.MLP, *Service) {
 	t.Helper()
 	m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 1, Seed: 9})
 	p, err := Compile(m.Module)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := p.NewService(cfg)
+	svc, err := p.Serve(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func mlpService(t *testing.T, cfg ServiceConfig) (*models.MLP, *Service) {
 // promptly without consuming a session — the pool's free list and wait
 // counters are untouched.
 func TestCanceledBeforeAcquire(t *testing.T) {
-	m, svc := mlpService(t, ServiceConfig{Workers: 1, DisableBatching: true})
+	m, svc := mlpService(t, WithWorkers(1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(1)), 2))
@@ -55,7 +55,7 @@ func TestCanceledBeforeAcquire(t *testing.T) {
 // abandoned when its deadline fires, surfaces context.DeadlineExceeded, and
 // does not leak or consume the session that is eventually released.
 func TestCancelWhileWaitingForSession(t *testing.T) {
-	m, svc := mlpService(t, ServiceConfig{Workers: 1, DisableBatching: true})
+	m, svc := mlpService(t, WithWorkers(1))
 	in := TensorValue(m.RandomBatch(rand.New(rand.NewSource(2)), 2))
 
 	// Hold the only session so the invoke below must queue.
@@ -84,36 +84,38 @@ func TestCancelWhileWaitingForSession(t *testing.T) {
 	}
 }
 
-// TestCancelWhileQueuedInBatch: a request canceled during the batcher's
-// collection window is withdrawn from the pending batch; the remaining
-// requests still dispatch and succeed.
+// TestCancelWhileQueuedInBatch: a request canceled while queued behind a
+// busy session is withdrawn from the queue; the requests that queued with
+// it still merge into one dispatch and succeed.
 func TestCancelWhileQueuedInBatch(t *testing.T) {
-	m, svc := mlpService(t, ServiceConfig{Workers: 1, MaxBatch: 8, MaxDelay: 300 * time.Millisecond})
+	m, svc := mlpService(t, WithWorkers(1))
 	rng := rand.New(rand.NewSource(3))
-	ctx := context.Background()
-
-	cctx, cancel := context.WithCancel(ctx)
+	held, err := svc.pool.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
-	inputs := make([]Value, 3)
-	for i := range inputs {
-		inputs[i] = TensorValue(m.RandomBatch(rng, 1+i))
-	}
-	// Three concurrent requests land in one collection window (MaxDelay is
-	// huge); request 0 is canceled while queued.
-	for i := 0; i < 3; i++ {
+	for i := range errs {
+		ctx := context.Background()
+		if i == 0 {
+			ctx = cctx
+		}
+		in := TensorValue(m.RandomBatch(rng, 1+i))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reqCtx := ctx
-			if i == 0 {
-				reqCtx = cctx
-			}
-			_, errs[i] = svc.Invoke(reqCtx, "main", inputs[i])
+			_, errs[i] = svc.Invoke(ctx, "main", in)
 		}(i)
+		waitParked(t, svc, int64(i+1))
 	}
-	time.Sleep(50 * time.Millisecond) // all three are queued in the window
+	// Request 0 leads the queue; it is canceled before the session frees.
 	cancel()
+	for svc.Stats().Batchers[0].Canceled == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	svc.pool.Release(held)
 	wg.Wait()
 
 	if !errors.Is(errs[0], ErrCanceled) || !errors.Is(errs[0], context.Canceled) {
@@ -126,13 +128,13 @@ func TestCancelWhileQueuedInBatch(t *testing.T) {
 	}
 	bst := svc.Stats().Batchers[0]
 	if bst.Canceled != 1 {
-		t.Errorf("batcher Canceled = %d, want 1 (withdrawn from pending batch)", bst.Canceled)
+		t.Errorf("Canceled = %d, want 1 (withdrawn from the queue)", bst.Canceled)
 	}
-	if bst.Coalesced != 2 {
-		t.Errorf("batcher Coalesced = %d, want 2 (remaining batch dispatched merged)", bst.Coalesced)
+	if bst.Coalesced != 2 || bst.Batches != 1 {
+		t.Errorf("Coalesced = %d in %d batches, want 2 in 1 (the rest dispatched merged)", bst.Coalesced, bst.Batches)
 	}
 	if bst.Fallbacks != 0 {
-		t.Errorf("batcher fell back %d times", bst.Fallbacks)
+		t.Errorf("merged dispatch fell back %d times", bst.Fallbacks)
 	}
 }
 

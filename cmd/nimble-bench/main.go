@@ -37,10 +37,8 @@ func main() {
 	serveMode := flag.Bool("serve", false, "run the concurrent-serving load generator instead of the paper tables")
 	serveWorkers := flag.Int("serve-workers", 8, "session pool size for -serve")
 	serveDur := flag.Duration("serve-duration", time.Second, "measured window per -serve cell")
-	serveBatch := flag.Bool("serve-batch", true, "enable micro-batching for the MLP rows in -serve")
 	arrival := flag.String("arrival", "closed", "with -serve: arrival process, closed (saturating clients) | poisson (open loop at fixed -qps)")
 	qpsList := flag.String("qps", "", "with -arrival poisson: comma-separated offered rates, e.g. 16,32,48")
-	pinStreams := flag.Bool("pin-streams", false, "with -arrival poisson: also run the decoder rows with the scheduler disabled (A/B baseline)")
 	jsonPath := flag.String("json", "", "with -serve: also write the sweep as machine-readable JSON to this path; otherwise: a directory to write the committed BENCH_core.json and BENCH_decode.json snapshots into")
 	flag.Parse()
 
@@ -50,19 +48,17 @@ func main() {
 		switch *arrival {
 		case "poisson":
 			res, err = bench.OpenLoop(bench.OpenLoopConfig{
-				Workers:    *serveWorkers,
-				QPS:        parseQPS(*qpsList),
-				Duration:   *serveDur,
-				Seed:       *seed,
-				Model:      *model,
-				PinStreams: *pinStreams,
+				Workers:  *serveWorkers,
+				QPS:      parseQPS(*qpsList),
+				Duration: *serveDur,
+				Seed:     *seed,
+				Model:    *model,
 			})
 		case "closed":
 			res, err = bench.Serve(bench.ServeConfig{
 				Workers:  *serveWorkers,
 				Duration: *serveDur,
 				Seed:     *seed,
-				Batch:    *serveBatch,
 				Model:    *model,
 			})
 		default:

@@ -18,8 +18,8 @@ import (
 //   - nimble_sched_*      per-entry continuous-batching scheduler, labeled
 //     {model, version, entry}: queue depth, batch occupancy, step latency
 //     quantiles
-//   - nimble_batch_*      per-entry micro-batcher, labeled {model,
-//     version, entry}
+//   - nimble_batch_*      per-entry request merging on row-separable
+//     entries, labeled {model, version, entry}
 //   - nimble_version_*    routing: canary traffic percent and requests in
 //     flight per live version
 //   - nimble_shared_storage_*  the cross-model storage tier
@@ -137,7 +137,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				add("nimble_batch_singles_total", l, float64(bt.Singles))
 				add("nimble_batch_coalesced_total", l, float64(bt.Coalesced))
 				add("nimble_batch_fallback_total", l, float64(bt.Fallbacks))
-				add("nimble_batch_overflow_total", l, float64(bt.Overflows))
 				add("nimble_batch_largest_batch", l, float64(bt.LargestBatch))
 			}
 
@@ -197,7 +196,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	family("nimble_batch_singles_total", "counter", "Requests dispatched alone.", rows["nimble_batch_singles_total"])
 	family("nimble_batch_coalesced_total", "counter", "Requests that rode a shared batch.", rows["nimble_batch_coalesced_total"])
 	family("nimble_batch_fallback_total", "counter", "Requests dispatched individually after a batch fault.", rows["nimble_batch_fallback_total"])
-	family("nimble_batch_overflow_total", "counter", "Requests past the batch cap, dispatched individually.", rows["nimble_batch_overflow_total"])
 	family("nimble_batch_largest_batch", "gauge", "Largest batch ever dispatched.", rows["nimble_batch_largest_batch"])
 
 	family("nimble_entry_healthy", "gauge", "1 while the entry's circuit breaker is closed.", rows["nimble_entry_healthy"])

@@ -2,7 +2,7 @@
 // public API. The entry signature shows the Any dimension; note that the
 // compiler does NOT mark it row-separable — attention couples sequence
 // positions, so the serving layer dispatches BERT per request instead of
-// micro-batching it.
+// merging requests.
 package main
 
 import (
@@ -28,7 +28,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("entry %s\n", sig)
-	fmt.Printf("row-separable: %v (attention couples rows; no micro-batching)\n", sig.RowSeparable)
+	fmt.Printf("row-separable: %v (attention couples rows; requests never merge)\n", sig.RowSeparable)
 	fmt.Printf("compiled: %d instructions, %d kernels\n", prog.Stats().Instructions, prog.Stats().Kernels)
 
 	sess := prog.NewSession()

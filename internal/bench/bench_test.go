@@ -150,14 +150,13 @@ func TestMemPlanShapeHolds(t *testing.T) {
 }
 
 // TestServeSweepSmoke exercises the closed-loop serving benchmark at a
-// tiny scale: both models, two client counts, real pool dispatch.
+// tiny scale: both models, two client counts, real service dispatch.
 func TestServeSweepSmoke(t *testing.T) {
 	res, err := Serve(ServeConfig{
 		Workers:  2,
 		Clients:  []int{1, 4},
 		Duration: 40 * time.Millisecond,
 		Seed:     7,
-		Batch:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +169,7 @@ func TestServeSweepSmoke(t *testing.T) {
 			t.Errorf("degenerate row: %+v", row)
 		}
 	}
-	if s := res.Format(); !strings.Contains(s, "bert") || !strings.Contains(s, "mlp+batch") {
+	if s := res.Format(); !strings.Contains(s, "bert") || !strings.Contains(s, "mlp") {
 		t.Errorf("format missing models:\n%s", s)
 	}
 }

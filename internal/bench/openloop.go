@@ -34,10 +34,6 @@ type OpenLoopConfig struct {
 	Seed int64
 	// Model filters the sweep ("bert" or "decoder"); empty runs both.
 	Model string
-	// PinStreams additionally runs the decoder rows with the
-	// continuous-batching scheduler disabled (streams pin a session), as
-	// the A/B baseline.
-	PinStreams bool
 }
 
 func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
@@ -116,7 +112,8 @@ type openModel struct {
 }
 
 // OpenLoop runs the open-loop sweep over the public Service API — through
-// the admission gate, micro-batcher, and continuous-batching scheduler,
+// the admission gate, the session pool's queue, and the continuous-batching
+// scheduler,
 // exactly the stack nimble-serve exposes.
 func OpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 	cfg = cfg.withDefaults()
@@ -132,18 +129,11 @@ func OpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		served = append(served, m)
 	}
 	if cfg.Model == "" || cfg.Model == "decoder" {
-		m, err := openDecoder(cfg, rng, false)
+		m, err := openDecoder(cfg, rng)
 		if err != nil {
 			return nil, err
 		}
 		served = append(served, m)
-		if cfg.PinStreams {
-			pinned, err := openDecoder(cfg, rng, true)
-			if err != nil {
-				return nil, err
-			}
-			served = append(served, pinned)
-		}
 	}
 	if len(served) == 0 {
 		return nil, fmt.Errorf("bench: no open-loop model matches %q (bert | decoder)", cfg.Model)
@@ -168,10 +158,6 @@ func OpenLoop(cfg OpenLoopConfig) (*OpenLoopResult, error) {
 		"shed = ErrOverloaded from the admission gate / deadline projection; goodput counts completions only",
 		"decoder rows stream via the continuous-batching scheduler; ttft is time to first emitted token",
 	)
-	if cfg.PinStreams {
-		result.Notes = append(result.Notes,
-			"decoder+pinned is the A/B baseline: scheduler disabled, each stream holds a session for its whole decode")
-	}
 	return result, nil
 }
 
@@ -201,19 +187,13 @@ func openBERT(cfg OpenLoopConfig, rng *rand.Rand) (openModel, error) {
 	}, nil
 }
 
-func openDecoder(cfg OpenLoopConfig, rng *rand.Rand, pinned bool) (openModel, error) {
+func openDecoder(cfg OpenLoopConfig, rng *rand.Rand) (openModel, error) {
 	dec := models.NewDecoder(models.DefaultDecoderConfig())
 	prog, err := nimble.Compile(dec.Module)
 	if err != nil {
 		return openModel{}, err
 	}
-	opts := []nimble.ServiceOption{nimble.WithWorkers(cfg.Workers)}
-	name := "decoder"
-	if pinned {
-		opts = append(opts, nimble.WithPinnedStreams())
-		name = "decoder+pinned"
-	}
-	svc, err := prog.Serve(opts...)
+	svc, err := prog.Serve(nimble.WithWorkers(cfg.Workers))
 	if err != nil {
 		return openModel{}, err
 	}
@@ -222,7 +202,7 @@ func openDecoder(cfg OpenLoopConfig, rng *rand.Rand, pinned bool) (openModel, er
 		starts[i] = nimble.TensorValue(models.StartToken(rng.Int63n(int64(dec.Config.Vocab))))
 	}
 	return openModel{
-		name: name,
+		name: "decoder",
 		issue: func(ctx context.Context, job int) (time.Duration, error) {
 			issued := time.Now()
 			st, err := svc.InvokeStream(ctx, "generate", starts[job%len(starts)])

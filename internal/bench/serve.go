@@ -9,10 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"nimble/internal/compiler"
+	"nimble"
+	"nimble/internal/ir"
 	"nimble/internal/models"
-	"nimble/internal/serve"
-	"nimble/internal/tensor"
 )
 
 // ServeConfig parameterizes the closed-loop serving benchmark.
@@ -28,8 +27,6 @@ type ServeConfig struct {
 	Duration time.Duration
 	// Seed drives input sampling.
 	Seed int64
-	// Batch enables the micro-batcher for the MLP rows.
-	Batch bool
 	// Model filters the sweep to one served model ("bert" or "mlp");
 	// empty runs all.
 	Model string
@@ -63,7 +60,7 @@ type ServeRow struct {
 	P99          time.Duration `json:"p99_ns"`
 	// Speedup is this row's throughput over the same model's 1-client row.
 	Speedup float64 `json:"speedup"`
-	// Coalesced counts requests served by merged micro-batches (MLP only).
+	// Coalesced counts requests served by merged dispatches (MLP only).
 	Coalesced int64 `json:"coalesced,omitempty"`
 }
 
@@ -102,88 +99,75 @@ type servedModel struct {
 }
 
 // Serve runs the closed-loop load generator: for each model and each
-// client count, N goroutines issue back-to-back requests against a shared
-// session pool for the configured duration; the sweep reports throughput,
-// token rate, and latency quantiles per cell.
+// client count, N goroutines issue back-to-back requests against one
+// Program.Serve service for the configured duration; the sweep reports
+// throughput, token rate, and latency quantiles per cell. The admission
+// queue is unbounded so a closed loop never sheds.
 func Serve(cfg ServeConfig) (*ServeResult, error) {
 	cfg = cfg.withDefaults()
 	result := &ServeResult{Config: cfg}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	serveModel := func(mod *ir.Module) (*nimble.Service, error) {
+		prog, err := nimble.Compile(mod)
+		if err != nil {
+			return nil, err
+		}
+		return prog.Serve(nimble.WithWorkers(cfg.Workers), nimble.WithMaxQueue(-1))
+	}
 
-	// BERT (dynamic data shapes): per-request dispatch over the pool.
+	// BERT (dynamic data shapes): never merged, one dispatch per request.
 	bertCfg := models.BERTReduced()
 	bertCfg.Layers = 2
 	bert := models.NewBERT(bertCfg)
-	bertRes, err := compiler.Compile(bert.Module, compiler.Options{})
+	bertSvc, err := serveModel(bert.Module)
 	if err != nil {
 		return nil, err
 	}
-	bertPool, err := serve.NewPool(bertRes.Exe, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	bertIDs := make([]*tensor.Tensor, 32)
+	defer bertSvc.Close()
+	bertIDs := make([]nimble.Value, 32)
+	bertTokens := make([]int, len(bertIDs))
 	for i := range bertIDs {
-		bertIDs[i] = bert.RandomIDs(rng, 8+rng.Intn(41)) // ragged lengths 8..48
+		ids := bert.RandomIDs(rng, 8+rng.Intn(41)) // ragged lengths 8..48
+		bertIDs[i], bertTokens[i] = nimble.TensorValue(ids), ids.NumElements()
 	}
 	bertModel := servedModel{
 		name: "bert",
 		jobs: len(bertIDs),
 		invoke: func(job int) (int, error) {
-			ids := bertIDs[job%len(bertIDs)]
-			_, err := bertPool.InvokeTensors(context.Background(), "main", ids)
-			return ids.NumElements(), err
+			_, err := bertSvc.Invoke(context.Background(), "main", bertIDs[job%len(bertIDs)])
+			return bertTokens[job%len(bertIDs)], err
 		},
 	}
 
-	// MLP (row-independent): micro-batched when cfg.Batch is set.
+	// MLP (row-independent): requests that queue behind busy sessions merge.
 	mlp := models.NewMLP(models.DefaultMLPConfig())
-	mlpRes, err := compiler.Compile(mlp.Module, compiler.Options{})
+	mlpSvc, err := serveModel(mlp.Module)
 	if err != nil {
 		return nil, err
 	}
-	mlpPool, err := serve.NewPool(mlpRes.Exe, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	mlpInputs := make([]*tensor.Tensor, 32)
+	defer mlpSvc.Close()
+	mlpInputs := make([]nimble.Value, 32)
+	mlpRows := make([]int, len(mlpInputs))
 	for i := range mlpInputs {
-		mlpInputs[i] = mlp.RandomBatch(rng, 1+rng.Intn(4))
-	}
-	mlpName := "mlp"
-	var batcher *serve.Batcher
-	if cfg.Batch {
-		mlpName = "mlp+batch"
-		batcher = serve.NewBatcher(mlpPool, serve.BatchConfig{Entry: "main", MaxBatch: 16})
-		defer batcher.Close()
+		mlpRows[i] = 1 + rng.Intn(4)
+		mlpInputs[i] = nimble.TensorValue(mlp.RandomBatch(rng, mlpRows[i]))
 	}
 	mlpModel := servedModel{
-		name: mlpName,
+		name: "mlp",
 		jobs: len(mlpInputs),
 		invoke: func(job int) (int, error) {
-			in := mlpInputs[job%len(mlpInputs)]
-			var err error
-			if batcher != nil {
-				_, err = batcher.Invoke(context.Background(), in)
-			} else {
-				_, err = mlpPool.InvokeTensors(context.Background(), "main", in)
-			}
-			return in.Shape()[0], err
+			_, err := mlpSvc.Invoke(context.Background(), "main", mlpInputs[job%len(mlpInputs)])
+			return mlpRows[job%len(mlpInputs)], err
 		},
-		stats: func() int64 {
-			if batcher == nil {
-				return 0
-			}
-			return batcher.Stats().Coalesced
-		},
+		stats: func() int64 { return mlpSvc.Stats().Batchers[0].Coalesced },
 	}
 
 	served := []servedModel{bertModel, mlpModel}
 	if cfg.Model != "" {
 		var filtered []servedModel
 		for _, m := range served {
-			if m.name == cfg.Model || strings.HasPrefix(m.name, cfg.Model+"+") {
+			if m.name == cfg.Model {
 				filtered = append(filtered, m)
 			}
 		}
@@ -217,8 +201,8 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	}
 	result.Notes = append(result.Notes,
 		fmt.Sprintf("bert: %d layers, hidden %d, ragged seq 8..48 (tokens/s counts sequence positions)", bertCfg.Layers, bertCfg.Hidden),
-		fmt.Sprintf("mlp: %d->%dx%d->%d rows 1..4 (tokens/s counts rows); batch=%v", mlp.Config.In, mlp.Config.Hidden, mlp.Config.Layers, mlp.Config.Out, cfg.Batch),
-		"speedup is vs the 1-client row of the same model on the same pool")
+		fmt.Sprintf("mlp: %d->%dx%d->%d rows 1..4 (tokens/s counts rows); queued requests merge", mlp.Config.In, mlp.Config.Hidden, mlp.Config.Layers, mlp.Config.Out),
+		"speedup is vs the 1-client row of the same model on the same service")
 	return result, nil
 }
 

@@ -3,14 +3,21 @@
 // serve concurrent traffic: one frozen vm.Executable (weights, bytecode,
 // kernel table — all immutable) is shared by a pool of vm.VM sessions, each
 // owning the mutable per-execution state (storage pool, frames, scratch,
-// profiler). Requests check a session out, run, and return it; a
-// micro-batcher (Batcher) additionally coalesces compatible requests for
-// batchable entry points so one kernel dispatch serves many clients.
+// profiler). Requests check a session out, run, and return it.
 //
-// Every blocking path accepts a context.Context: Acquire abandons its wait
-// when the context is canceled (without consuming a session), and Batcher
-// requests can be withdrawn from a pending batch. Cancellation errors wrap
-// both ErrCanceled and the underlying context error.
+// The pool's waiter queue is the one queue a one-shot request waits in. A
+// request that finds a free session runs at once on the caller's
+// goroutine; one that does not parks, ordered by (lane, deadline,
+// arrival) — the same order the stream Scheduler uses. For entries
+// registered with MergeRows, Release hands the session to the best waiter
+// together with every compatible waiter behind it, and they run as one
+// merged kernel dispatch: a batch is exactly what piled up while the
+// sessions were busy, with no timer and no collector goroutine.
+//
+// Every blocking path accepts a context.Context: a parked request abandons
+// its wait when the context is canceled (without consuming a session or
+// failing its would-be batch-mates). Cancellation errors wrap both
+// ErrCanceled and the underlying context error.
 package serve
 
 import (
@@ -18,10 +25,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nimble/internal/kernels"
 	"nimble/internal/tensor"
 	"nimble/internal/vm"
 )
@@ -120,33 +129,68 @@ func (s *Session) StepStream(ctx context.Context, name string, r *vm.StreamRun) 
 // on the goroutine holding the session.
 func (s *Session) Poisoned() bool { return s.poisoned }
 
-// InvokeTensors is the tensors-in, tensor-out convenience form.
-func (s *Session) InvokeTensors(ctx context.Context, name string, args ...*tensor.Tensor) (out *tensor.Tensor, err error) {
-	s.invocations.Add(1)
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.poisoned = true
-			out, err = nil, Internal(name, rec, debug.Stack())
-		}
-	}()
-	out, err = s.machine.InvokeTensorsContext(ctx, name, args...)
-	return out, WrapCtxErr(err)
-}
-
 // ID returns the session's index within its pool.
 func (s *Session) ID() int { return s.id }
 
-// waiter is one goroutine parked in Acquire with no free session. Release
-// hands a session directly to the oldest live waiter (ownership transfers
-// without touching the free stack); Close delivers nil, which the waiter
-// reads as ErrClosed. The channel is buffered so the handoff never blocks
-// the releasing goroutine.
+// MaxMerge caps how many queued requests one merged dispatch serves.
+const MaxMerge = 16
+
+// order is the one queue order shared by the pool's waiters and the
+// scheduler's streams: lower lane first, then earlier deadline (requests
+// without one sort last), then arrival.
+type order struct {
+	lane     int
+	deadline time.Time // zero = none
+	seq      uint64
+}
+
+func (a order) before(b order) bool {
+	if a.lane != b.lane {
+		return a.lane < b.lane
+	}
+	if !a.deadline.Equal(b.deadline) {
+		if a.deadline.IsZero() {
+			return false
+		}
+		if b.deadline.IsZero() {
+			return true
+		}
+		return a.deadline.Before(b.deadline)
+	}
+	return a.seq < b.seq
+}
+
+// waiter is one goroutine parked with no free session. Every waiter
+// removed from the queue receives exactly one grant on its single-slot
+// channel, so no send ever blocks.
 type waiter struct {
-	ch chan *Session
-	id uint64
-	// lane orders the wait queue: lower lanes are handed sessions first,
-	// FIFO (by id) within a lane. Plain Acquire parks in lane 0.
-	lane int
+	order
+	ctx   context.Context
+	ch    chan grant
+	start time.Time
+	// entry and in are set for a mergeable request: a single rank>=1
+	// tensor for an entry registered with MergeRows.
+	entry string
+	in    *tensor.Tensor
+	// leader is set (under Pool.mu) when the waiter is handed a session,
+	// so a cancellation racing the handoff knows it must pass the session
+	// and its mates on rather than drop them.
+	leader bool
+}
+
+// grant is what a parked waiter receives: a session to run on, a result
+// a leader computed for it, or an error.
+type grant struct {
+	s     *Session
+	mates []*waiter
+	out   vm.Object
+	err   error
+}
+
+// rowStats counts one row-separable entry's dispatches.
+type rowStats struct {
+	batches, singles, coalesced, fallbacks, canceled atomic.Int64
+	largest                                          atomic.Int64
 }
 
 // Pool shares one immutable executable across nWorkers VM sessions with
@@ -160,14 +204,16 @@ type Pool struct {
 	// fresh VMs minted by quarantine) attaches to; nil means each session
 	// keeps a purely private storage pool.
 	shared *vm.SharedStoragePool
+	// rows holds the entries registered with MergeRows. Written before the
+	// pool serves traffic, read-only after.
+	rows map[string]*rowStats
 
-	mu       sync.Mutex
-	free     []*Session // LIFO stack
-	all      []*Session
-	waiters  []*waiter          // FIFO queue of parked Acquires
-	waiterID map[uint64]*waiter // live waiters, for O(1) cancel removal
-	nextWait uint64
-	closed   bool
+	mu      sync.Mutex
+	free    []*Session // LIFO stack
+	all     []*Session
+	waiters []*waiter // parked requests, kept in order.before order
+	nextSeq uint64
+	closed  bool
 
 	// stats. inFlight/peakInUse/waits/waitTime piggyback on the checkout
 	// lock; invocations/errors are atomic so the result path does not take
@@ -176,7 +222,7 @@ type Pool struct {
 	errors      atomic.Int64
 	inFlight    int
 	peakInUse   int
-	waits       int64 // acquires that found the stack empty and blocked
+	waits       int64 // requests that found no free session and parked
 	waitTime    time.Duration
 	quarantined int64 // poisoned sessions replaced by fresh VMs
 }
@@ -206,7 +252,7 @@ func NewPoolShared(exe *vm.Executable, nWorkers int, shared *vm.SharedStoragePoo
 		}
 	}
 	exe.Freeze()
-	p := &Pool{exe: exe, shared: shared, waiterID: map[uint64]*waiter{}}
+	p := &Pool{exe: exe, shared: shared, rows: map[string]*rowStats{}}
 	for i := 0; i < nWorkers; i++ {
 		s := p.newSession(i)
 		p.all = append(p.all, s)
@@ -214,6 +260,14 @@ func NewPoolShared(exe *vm.Executable, nWorkers int, shared *vm.SharedStoragePoo
 	}
 	return p, nil
 }
+
+// MergeRows marks entry as row-independent along its leading dimension
+// (an MLP/classifier head over [batch, features], not a BERT sequence
+// whose positions attend to each other), so queued single-tensor requests
+// to it may be concatenated into one dispatch and sliced back apart.
+// passes.RowSeparable decides this from the IR; the public nimble.Service
+// wires it automatically. Call before the pool serves traffic.
+func (p *Pool) MergeRows(entry string) { p.rows[entry] = &rowStats{} }
 
 // newSession mints session i's VM with the pool's storage configuration
 // applied; construction and the quarantine replacement path share it so a
@@ -237,152 +291,175 @@ func (p *Pool) Size() int { return len(p.all) }
 // canceled, or the pool is closed. A canceled context returns an error
 // wrapping ErrCanceled and ctx.Err() without consuming a session — a
 // pre-canceled context never joins the wait queue at all. A closed pool
-// returns ErrClosed.
+// returns ErrClosed. Parked Acquires wait in lane 0.
 func (p *Pool) Acquire(ctx context.Context) (*Session, error) {
-	return p.AcquireLane(ctx, 0)
+	g, err := p.checkout(&waiter{ctx: ctx})
+	return g.s, err
 }
 
-// AcquireLane is Acquire with a priority lane: when the pool is contended,
-// parked lane-0 acquires are handed sessions before lane-1, and so on;
-// arrival order breaks ties within a lane. An uncontended checkout ignores
-// the lane entirely.
-func (p *Pool) AcquireLane(ctx context.Context, lane int) (*Session, error) {
+// checkout hands w a free session at once, or parks it in the queue until
+// Release grants it one, a leader answers it, the pool closes, or w.ctx is
+// done.
+func (p *Pool) checkout(w *waiter) (grant, error) {
+	ctx := w.ctx
 	if err := ctx.Err(); err != nil {
-		return nil, Canceled(err)
+		return grant{}, Canceled(err)
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("serve: pool: %w", ErrClosed)
+		return grant{}, fmt.Errorf("serve: pool: %w", ErrClosed)
 	}
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
-		p.checkoutLocked()
+		p.inFlight++
+		p.peakInUse = max(p.peakInUse, p.inFlight)
 		p.mu.Unlock()
-		return s, nil
+		return grant{s: s}, nil
 	}
-	// No session free: park. Release hands a session straight to the best
-	// (lowest-lane, then oldest) live waiter; cancellation removes the
-	// waiter from the live set so the handoff skips it.
-	w := &waiter{ch: make(chan *Session, 1), id: p.nextWait, lane: lane}
-	p.nextWait++
-	p.insertWaiterLocked(w)
-	p.waiterID[w.id] = w
+	if dl, ok := ctx.Deadline(); ok {
+		w.deadline = dl
+	}
+	w.seq = p.nextSeq
+	p.nextSeq++
+	w.ch = make(chan grant, 1)
+	w.start = time.Now()
+	i := len(p.waiters)
+	for i > 0 && w.before(p.waiters[i-1].order) {
+		i--
+	}
+	p.waiters = slices.Insert(p.waiters, i, w)
 	p.waits++
-	start := time.Now()
 	p.mu.Unlock()
 
 	select {
-	case s := <-w.ch:
-		if s == nil {
-			return nil, fmt.Errorf("serve: pool: %w", ErrClosed)
-		}
-		p.mu.Lock()
-		p.waitTime += time.Since(start)
-		p.mu.Unlock()
-		return s, nil
+	case g := <-w.ch:
+		return g, g.err
 	case <-ctx.Done():
 		p.mu.Lock()
-		if _, live := p.waiterID[w.id]; live {
-			delete(p.waiterID, w.id)
-			// Dead waiters normally drain when a Release walks the queue;
-			// under retry storms with no Release in sight (one long run
-			// holding every session), compact eagerly so the queue stays
-			// proportional to the live waiters.
-			if len(p.waiters) > 16 && len(p.waiters) > 2*len(p.waiterID) {
-				kept := p.waiters[:0]
-				for _, lw := range p.waiters {
-					if _, ok := p.waiterID[lw.id]; ok {
-						kept = append(kept, lw)
-					}
-				}
-				clear(p.waiters[len(kept):])
-				p.waiters = kept
-			}
+		if i := slices.Index(p.waiters, w); i >= 0 {
+			p.waiters = slices.Delete(p.waiters, i, i+1)
 			p.mu.Unlock()
-			return nil, Canceled(ctx.Err())
+			if w.in != nil {
+				p.rows[w.entry].canceled.Add(1)
+			}
+			return grant{}, Canceled(ctx.Err())
 		}
+		leader := w.leader
 		p.mu.Unlock()
-		// A session (or the close marker) was handed off concurrently with
-		// the cancellation; the session must not leak out of the pool.
-		if s := <-w.ch; s != nil {
-			p.Release(s)
+		if leader {
+			// A session was handed over concurrently with the
+			// cancellation; it must not leak out of the pool.
+			g := <-w.ch
+			p.pass(g.s, g.mates)
 		}
-		return nil, Canceled(ctx.Err())
+		// Otherwise w was taken as a mate (its leader's answer lands in
+		// the buffered channel unread) or answered by Close.
+		return grant{}, Canceled(ctx.Err())
 	}
 }
 
-// checkoutLocked updates checkout stats; the caller holds p.mu.
-func (p *Pool) checkoutLocked() {
-	p.inFlight++
-	if p.inFlight > p.peakInUse {
-		p.peakInUse = p.inFlight
+// pass gives up a session granted to a canceled waiter: the first live
+// mate becomes the leader of the rest, or the session goes back to the
+// pool.
+//
+// vet:no-ctx — each send fills a single-slot buffer the mate owns.
+func (p *Pool) pass(s *Session, mates []*waiter) {
+	p.mu.Lock()
+	for i, m := range mates {
+		if err := m.ctx.Err(); err != nil {
+			p.rows[m.entry].canceled.Add(1)
+			m.ch <- grant{err: Canceled(err)}
+			continue
+		}
+		m.leader = true
+		p.mu.Unlock()
+		m.ch <- grant{s: s, mates: mates[i+1:]}
+		return
 	}
+	p.mu.Unlock()
+	p.Release(s)
 }
 
-// Release returns a session to the pool. If an Acquire is parked, the
-// session transfers directly (it stays in flight, just under a new owner);
-// otherwise it joins the LIFO free stack. A poisoned session (its VM
-// panicked mid-execution) never re-enters circulation: it is quarantined —
-// dropped on the floor for the GC, with a fresh VM over the same frozen
-// executable minted in its place — so pool size is conserved and no state
-// touched by the faulting request can resurface in a later one.
+// quarantine replaces a poisoned session (its VM panicked mid-execution)
+// with a fresh VM over the same frozen executable. The old one is dropped
+// on the floor for the GC, so pool size is conserved and no state touched
+// by the faulting request can resurface in a later one.
+func (p *Pool) quarantine(s *Session) *Session {
+	fresh := p.newSession(s.id)
+	fresh.invocations.Store(s.invocations.Load())
+	p.mu.Lock()
+	p.quarantined++
+	for i, old := range p.all {
+		if old == s {
+			p.all[i] = fresh
+			break
+		}
+	}
+	p.mu.Unlock()
+	return fresh
+}
+
+// Release returns a session to the pool. If a request is parked, the
+// session transfers directly to the best one (it stays in flight, just
+// under a new owner). When that waiter is mergeable it also takes every
+// other queued waiter for the same entry whose tensor concatenates with
+// its own, up to MaxMerge in all, so a batch is exactly what piled up
+// while the sessions were busy. With nobody parked the session joins the
+// LIFO free stack. A poisoned session never re-enters circulation: it is
+// quarantined first.
 //
 // vet:no-ctx — the only channel operation is the direct handoff to a parked
-// Acquire, whose single-slot buffer the waiter owns; the send can never
+// waiter, whose single-slot buffer the waiter owns; the send can never
 // block.
 func (p *Pool) Release(s *Session) {
 	if s.poisoned {
-		fresh := p.newSession(s.id)
-		fresh.invocations.Store(s.invocations.Load())
-		p.mu.Lock()
-		p.quarantined++
-		for i, old := range p.all {
-			if old == s {
-				p.all[i] = fresh
-				break
-			}
-		}
-		p.mu.Unlock()
-		s = fresh
+		s = p.quarantine(s)
 	}
 	p.mu.Lock()
-	if w := p.popWaiterLocked(); w != nil {
+	if len(p.waiters) == 0 {
+		p.free = append(p.free, s)
+		p.inFlight--
 		p.mu.Unlock()
-		w.ch <- s
 		return
 	}
-	p.free = append(p.free, s)
-	p.inFlight--
+	w := p.waiters[0]
+	p.waiters = p.waiters[1:]
+	w.leader = true
+	p.waitTime += time.Since(w.start)
+	var mates []*waiter
+	if w.in != nil {
+		mates = p.takeMatesLocked(w)
+	}
 	p.mu.Unlock()
+	w.ch <- grant{s: s, mates: mates}
 }
 
-// insertWaiterLocked places w by (lane, arrival). Linear scan from the
-// back: arrivals are overwhelmingly same-or-higher lane than the tail, so
-// the common case is a plain append; queues are MaxQueue-scale anyway.
-func (p *Pool) insertWaiterLocked(w *waiter) {
-	i := len(p.waiters)
-	for i > 0 && p.waiters[i-1].lane > w.lane {
-		i--
-	}
-	p.waiters = append(p.waiters, nil)
-	copy(p.waiters[i+1:], p.waiters[i:])
-	p.waiters[i] = w
-}
-
-// popWaiterLocked dequeues the best live waiter (lowest lane, oldest
-// arrival — the queue is kept in that order), or nil.
-func (p *Pool) popWaiterLocked() *waiter {
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
-		if _, live := p.waiterID[w.id]; live {
-			delete(p.waiterID, w.id)
-			return w
+// takeMatesLocked removes and returns the queued waiters that can merge
+// with the leader w, in queue order, up to MaxMerge-1 of them. Ragged
+// shapes never merge: concatenating them would need padding.
+func (p *Pool) takeMatesLocked(w *waiter) []*waiter {
+	var mates []*waiter
+	now := time.Now()
+	kept := p.waiters[:0]
+	for _, q := range p.waiters {
+		if len(mates) < MaxMerge-1 && q.in != nil && q.entry == w.entry && concatenates(q.in, w.in) {
+			p.waitTime += now.Sub(q.start)
+			mates = append(mates, q)
+			continue
 		}
+		kept = append(kept, q)
 	}
-	return nil
+	clear(p.waiters[len(kept):])
+	p.waiters = kept
+	return mates
+}
+
+// concatenates reports whether a and b join along dim 0 without padding:
+// same dtype, same rank, same trailing extents.
+func concatenates(a, b *tensor.Tensor) bool {
+	return a.DType() == b.DType() && a.Shape()[1:].Equal(b.Shape()[1:])
 }
 
 // Invoke checks out a session, runs the entry function, and returns the
@@ -393,30 +470,145 @@ func (p *Pool) Invoke(ctx context.Context, name string, args ...vm.Object) (vm.O
 	return p.InvokeLane(ctx, 0, name, args...)
 }
 
-// InvokeLane is Invoke through a priority lane (see AcquireLane).
+// InvokeLane is Invoke through a priority lane: when the pool is
+// contended, parked requests are served by (lane, deadline, arrival). A
+// request that finds a free session runs at once on the caller's
+// goroutine. A single rank>=1 tensor for an entry registered with
+// MergeRows that had to wait may be served by a merged dispatch: the
+// leader (the waiter Release picked) is handed the compatible requests
+// queued behind it — everything that piled up while the sessions were busy
+// — concatenates their rows onto its own, runs once, and slices the output
+// back apart. A merged run is not interrupted by any one member's
+// cancellation; its leader waits for it.
 func (p *Pool) InvokeLane(ctx context.Context, lane int, name string, args ...vm.Object) (vm.Object, error) {
-	s, err := p.AcquireLane(ctx, lane)
+	w := &waiter{order: order{lane: lane}, ctx: ctx, entry: name}
+	if p.rows[name] != nil {
+		w.in = rowInput(args)
+	}
+	g, err := p.checkout(w)
 	if err != nil {
 		return nil, err
 	}
-	// Release via defer: a panicking kernel (shape violation surfaced at
-	// dispatch) must not leak the session out of the pool.
+	if g.s == nil {
+		return g.out, g.err // answered by a leader's merged dispatch
+	}
+	var live []*waiter
+	for _, m := range g.mates {
+		if err := m.ctx.Err(); err != nil {
+			p.rows[name].canceled.Add(1)
+			m.ch <- grant{err: Canceled(err)}
+			continue
+		}
+		live = append(live, m)
+	}
+	if len(live) == 0 {
+		return p.runSingle(ctx, g.s, w, args)
+	}
+	return p.runMerged(g.s, append([]*waiter{w}, live...))
+}
+
+// rowInput returns the tensor of a mergeable argument list — exactly one
+// tensor of rank >= 1, whose leading dimension is the request's row
+// count — or nil.
+func rowInput(args []vm.Object) *tensor.Tensor {
+	if len(args) != 1 {
+		return nil
+	}
+	if t, ok := args[0].(*vm.TensorObj); ok && t.T != nil && t.T.Rank() >= 1 {
+		return t.T
+	}
+	return nil
+}
+
+// runSingle runs one request on s and releases s. Release via defer: a
+// panic outside the session's own recovery must not leak the session.
+func (p *Pool) runSingle(ctx context.Context, s *Session, w *waiter, args []vm.Object) (vm.Object, error) {
 	defer p.Release(s)
-	out, err := s.Invoke(ctx, name, args...)
+	if w.in != nil {
+		p.rows[w.entry].singles.Add(1)
+	}
+	out, err := s.Invoke(ctx, w.entry, args...)
 	p.Note(err)
 	return out, err
 }
 
-// InvokeTensors is the tensors-in, tensor-out form of Invoke.
-func (p *Pool) InvokeTensors(ctx context.Context, name string, args ...*tensor.Tensor) (*tensor.Tensor, error) {
-	s, err := p.Acquire(ctx)
-	if err != nil {
-		return nil, err
+// runMerged serves group (leader first) with one invocation over the
+// concatenated rows, answers the mates, releases s, and returns the
+// leader's slice. It runs under the background context: one member's
+// cancellation must not fail its batch-mates. A merged run that fails, or
+// whose output does not map rows to rows, falls back to one run per
+// request.
+//
+// vet:no-ctx — every send fills a single-slot buffer a mate owns.
+func (p *Pool) runMerged(s *Session, group []*waiter) (vm.Object, error) {
+	entry := group[0].entry
+	ins := make([]*tensor.Tensor, len(group))
+	rows := 0
+	for i, m := range group {
+		ins[i] = m.in
+		rows += m.in.Shape()[0]
 	}
-	defer p.Release(s)
-	out, err := s.InvokeTensors(ctx, name, args...)
+	out, err := s.Invoke(context.Background(), entry, vm.NewTensorObj(kernels.Concat(ins, 0)))
 	p.Note(err)
-	return out, err
+	t, ok := out.(*vm.TensorObj)
+	if err == nil && (!ok || t.T.Rank() == 0 || t.T.Shape()[0] != rows) {
+		err = fmt.Errorf("serve: entry %q returned %v for %d merged rows; not row-separable", entry, out, rows)
+	}
+	stats := p.rows[entry]
+	if err != nil {
+		stats.fallbacks.Add(int64(len(group)))
+		return p.runEach(s, group)
+	}
+	p.Release(s)
+	stats.batches.Add(1)
+	stats.coalesced.Add(int64(len(group)))
+	for {
+		l := stats.largest.Load()
+		if int64(len(group)) <= l || stats.largest.CompareAndSwap(l, int64(len(group))) {
+			break
+		}
+	}
+	lo := 0
+	var lead vm.Object
+	for i, m := range group {
+		hi := lo + m.in.Shape()[0]
+		piece := vm.NewTensorObj(kernels.Slice(t.T, 0, lo, hi))
+		lo = hi
+		if i == 0 {
+			lead = piece
+			continue
+		}
+		m.ch <- grant{out: piece}
+	}
+	return lead, nil
+}
+
+// runEach is the per-request fallback after a failed merged run: each
+// member runs alone under its own context on s (a fresh session whenever
+// a run poisons it), then s is released.
+//
+// vet:no-ctx — every send fills a single-slot buffer a mate owns.
+func (p *Pool) runEach(s *Session, group []*waiter) (vm.Object, error) {
+	var lead vm.Object
+	var leadErr error
+	for i, m := range group {
+		if s.poisoned {
+			s = p.quarantine(s)
+		}
+		if err := m.ctx.Err(); i > 0 && err != nil {
+			m.ch <- grant{err: Canceled(err)}
+			continue // withdrawn mid-dispatch: don't pay a re-run nobody reads
+		}
+		out, err := s.Invoke(m.ctx, m.entry, vm.NewTensorObj(m.in))
+		p.Note(err)
+		if i == 0 {
+			lead, leadErr = out, err
+			continue
+		}
+		m.ch <- grant{out: out, err: err}
+	}
+	p.Release(s)
+	return lead, leadErr
 }
 
 func (p *Pool) Note(err error) {
@@ -428,8 +620,9 @@ func (p *Pool) Note(err error) {
 	}
 }
 
-// Close marks the pool closed; blocked and future Acquires fail with
-// ErrClosed. Sessions already checked out may finish and Release normally.
+// Close marks the pool closed; parked and future requests fail with
+// ErrClosed. Sessions already checked out may finish and Release normally,
+// and a merged dispatch already under way still answers its mates.
 //
 // vet:no-ctx — the only channel operations are the wake-ups of parked
 // waiters, each a send into a single-slot buffer the waiter owns; none can
@@ -437,17 +630,11 @@ func (p *Pool) Note(err error) {
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	var parked []*waiter
-	for {
-		w := p.popWaiterLocked()
-		if w == nil {
-			break
-		}
-		parked = append(parked, w)
-	}
+	parked := p.waiters
+	p.waiters = nil
 	p.mu.Unlock()
 	for _, w := range parked {
-		w.ch <- nil // read as ErrClosed by the waiter
+		w.ch <- grant{err: fmt.Errorf("serve: pool: %w", ErrClosed)}
 	}
 }
 
@@ -486,4 +673,38 @@ func (p *Pool) Stats() Stats {
 		st.PerSession = append(st.PerSession, s.invocations.Load())
 	}
 	return st
+}
+
+// BatchStats is a snapshot of one row-separable entry's dispatch counters.
+type BatchStats struct {
+	Entry        string `json:"entry"`
+	MaxBatch     int    `json:"max_batch"`
+	Batches      int64  `json:"batches"`
+	Singles      int64  `json:"singles"`
+	Coalesced    int64  `json:"coalesced_requests"`
+	Fallbacks    int64  `json:"fallback_requests"`
+	Canceled     int64  `json:"canceled_requests"`
+	LargestBatch int    `json:"largest_batch"`
+}
+
+// BatchStats snapshots entry's merge counters; ok is false for an entry
+// not registered with MergeRows. Batches counts merged dispatches (two or
+// more requests), Singles requests dispatched alone, Coalesced requests
+// served by merged dispatches, Fallbacks requests re-run one by one after
+// a merged run failed, and Canceled requests withdrawn while queued.
+func (p *Pool) BatchStats(entry string) (st BatchStats, ok bool) {
+	r, ok := p.rows[entry]
+	if !ok {
+		return st, false
+	}
+	return BatchStats{
+		Entry:        entry,
+		MaxBatch:     MaxMerge,
+		Batches:      r.batches.Load(),
+		Singles:      r.singles.Load(),
+		Coalesced:    r.coalesced.Load(),
+		Fallbacks:    r.fallbacks.Load(),
+		Canceled:     r.canceled.Load(),
+		LargestBatch: int(r.largest.Load()),
+	}, true
 }

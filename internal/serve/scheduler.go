@@ -90,12 +90,10 @@ func NewScheduler(pool *Pool, cfg SchedConfig) *Scheduler {
 // then adopted by a worker that steps it to completion, one iteration at a
 // time, interleaved with its batch-mates.
 type schedStream struct {
-	ctx      context.Context
-	entry    string
-	args     []vm.Object
-	lane     int
-	deadline time.Time // zero = none
-	seq      uint64
+	order
+	ctx   context.Context
+	entry string
+	args  []vm.Object
 
 	// tokens hands each emitted tensor from the stepping worker to the
 	// consumer relay. Capacity 1: the worker only steps a stream whose
@@ -144,10 +142,10 @@ func (sc *Scheduler) Stream(ctx context.Context, lane int, sink func(*tensor.Ten
 		lane = sc.cfg.Lanes - 1
 	}
 	s := &schedStream{
+		order:  order{lane: lane},
 		ctx:    ctx,
 		entry:  entry,
 		args:   args,
-		lane:   lane,
 		tokens: make(chan *tensor.Tensor, 1),
 		done:   make(chan struct{}),
 	}
@@ -294,21 +292,7 @@ func (sc *Scheduler) popLocked() *schedStream {
 	return s
 }
 
-func streamLess(a, b *schedStream) bool {
-	if a.lane != b.lane {
-		return a.lane < b.lane
-	}
-	if !a.deadline.Equal(b.deadline) {
-		if a.deadline.IsZero() {
-			return false
-		}
-		if b.deadline.IsZero() {
-			return true
-		}
-		return a.deadline.Before(b.deadline)
-	}
-	return a.seq < b.seq
-}
+func streamLess(a, b *schedStream) bool { return a.before(b.order) }
 
 func (sc *Scheduler) removeQueued(s *schedStream) bool {
 	sc.mu.Lock()

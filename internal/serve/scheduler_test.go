@@ -162,7 +162,7 @@ func TestSchedulerQueueOrdering(t *testing.T) {
 		sc := &Scheduler{cfg: SchedConfig{Lanes: 3, Window: 8, MaxSessions: 1}}
 		n := 1 + rng.Intn(12)
 		for i := 0; i < n; i++ {
-			s := &schedStream{lane: rng.Intn(3), seq: uint64(i)}
+			s := &schedStream{order: order{lane: rng.Intn(3), seq: uint64(i)}}
 			if rng.Intn(2) == 0 {
 				s.deadline = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
 			}

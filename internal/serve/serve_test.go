@@ -58,7 +58,7 @@ func TestPoolMatchesSingleSession(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := p.InvokeTensors(context.Background(), "main", inputs[i])
+			out, err := invoke(p, inputs[i])
 			if err != nil {
 				errs[i] = err
 				return
@@ -120,7 +120,7 @@ func TestPoolSerialInvocationsStayOnOneSession(t *testing.T) {
 	in := models.NewMLP(models.MLPConfig{In: 16, Hidden: 32, Out: 8, Layers: 2, Seed: 45}).
 		RandomBatch(rand.New(rand.NewSource(3)), 2)
 	for i := 0; i < 10; i++ {
-		if _, err := p.InvokeTensors(context.Background(), "main", in); err != nil {
+		if _, err := invoke(p, in); err != nil {
 			t.Fatal(err)
 		}
 	}

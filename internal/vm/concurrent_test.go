@@ -126,12 +126,12 @@ func TestConcurrentBERTLayerViaSessionPool(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
 				j := jobs[(c*3+iter)%len(jobs)]
-				got, err := pool.InvokeTensors(context.Background(), "main", j.ids)
+				got, err := pool.Invoke(context.Background(), "main", vm.NewTensorObj(j.ids))
 				if err != nil {
 					t.Errorf("client %d iter %d: %v", c, iter, err)
 					return
 				}
-				if !got.AllClose(j.want, 1e-6, 1e-7) {
+				if !got.(*vm.TensorObj).T.AllClose(j.want, 1e-6, 1e-7) {
 					t.Errorf("client %d iter %d: concurrent BERT output diverged", c, iter)
 					return
 				}

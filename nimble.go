@@ -5,16 +5,17 @@
 //
 //	Compile  — lower an IR module (built with nimble/ir) to a frozen Program
 //	Session  — single-goroutine execution: Program.NewSession
-//	Service  — concurrent serving (session pool + micro-batching):
-//	           Program.NewService
+//	Service  — concurrent serving (session pool + request merging):
+//	           Program.Serve
 //
 // and one invocation verb everywhere:
 //
 //	Invoke(ctx context.Context, entry string, args ...Value) (Value, error)
 //
 // Arguments and results travel as Values (tensors, ADTs, tuples). Every
-// blocking path honors the context: queue waits are abandoned, requests
-// are withdrawn from pending micro-batches, and long dynamic executions
+// blocking path honors the context: queue waits are abandoned (a queued
+// request withdraws without failing the requests it would have merged
+// with), and long dynamic executions
 // (an LSTM stepping a sequence, a Tree-LSTM recursing) notice
 // cancellation at call boundaries. Failures come back as typed errors —
 // ErrUnknownEntry, ErrBadArity, ErrCanceled, ErrClosed — matched with
@@ -23,7 +24,7 @@
 // Programs are introspectable: Program.Entrypoints reports each entry
 // function's name, parameter and result types (including dynamic Any
 // dimensions and ADT constructors), and whether the compiler proved it
-// row-separable (safe to micro-batch). Generic callers — the HTTP server
+// row-separable (safe to merge with other requests). Generic callers — the HTTP server
 // in cmd/nimble-serve, load generators — are built entirely on this
 // introspection, with no per-model adapters.
 //
@@ -158,7 +159,7 @@ func Compile(mod *ir.Module, opts ...Option) (*Program, error) {
 	}
 
 	// The executable is NOT frozen here but at first adoption (NewSession,
-	// NewService, Save): the window between compile and adoption is where
+	// Serve, Save): the window between compile and adoption is where
 	// construction-phase decoration — fault-injection wrappers
 	// (internal/faults), instrumentation — may rewrap the kernel table.
 	// Once any execution context exists the artifact is sealed for good.

@@ -155,7 +155,7 @@ func TestUnknownEntryAndArity(t *testing.T) {
 		t.Errorf("closed session error = %v, want ErrClosed", err)
 	}
 
-	svc, err := p.NewService(nimble.ServiceConfig{Workers: 1})
+	svc, err := p.Serve(nimble.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,8 @@ func TestUnknownEntryAndArity(t *testing.T) {
 }
 
 // TestSessionServiceAgree pins the unified verb: the same invocation
-// through a Session, a batching Service, and a pool-only Service produces
-// identical outputs, and the Service routes the MLP through its batcher.
+// through a Session and a Service produces identical outputs, and on an
+// idle pool the Service runs the row-separable MLP call alone.
 func TestSessionServiceAgree(t *testing.T) {
 	m := models.NewMLP(models.MLPConfig{In: 8, Hidden: 16, Out: 4, Layers: 1, Seed: 2})
 	mkProg := func() *nimble.Program {
@@ -191,32 +191,25 @@ func TestSessionServiceAgree(t *testing.T) {
 	}
 	wt, _ := want.Tensor()
 
-	for _, disableBatch := range []bool{false, true} {
-		svc, err := mkProg().NewService(nimble.ServiceConfig{Workers: 2, DisableBatching: disableBatch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := svc.Invoke(ctx, "main", in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gt, _ := got.Tensor()
-		if !gt.AllClose(wt, 1e-6, 1e-7) {
-			t.Errorf("service (batching=%v) output differs from session output", !disableBatch)
-		}
-		st := svc.Stats()
-		if disableBatch && len(st.Batchers) != 0 {
-			t.Errorf("DisableBatching left %d batchers", len(st.Batchers))
-		}
-		if !disableBatch {
-			if len(st.Batchers) != 1 {
-				t.Fatalf("batching service has %d batchers, want 1 (row-separable main)", len(st.Batchers))
-			}
-			if st.Batchers[0].Singles+st.Batchers[0].Coalesced == 0 {
-				t.Error("single-tensor call did not route through the batcher")
-			}
-		}
-		svc.Close()
+	svc, err := mkProg().Serve(nimble.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	got, err := svc.Invoke(ctx, "main", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, _ := got.Tensor()
+	if !gt.AllClose(wt, 1e-6, 1e-7) {
+		t.Error("service output differs from session output")
+	}
+	st := svc.Stats()
+	if len(st.Batchers) != 1 {
+		t.Fatalf("service reports %d merge counters, want 1 (row-separable main)", len(st.Batchers))
+	}
+	if b := st.Batchers[0]; b.Singles != 1 || b.Batches != 0 {
+		t.Errorf("idle-pool call: %+v, want one single dispatch", b)
 	}
 }
 

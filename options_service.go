@@ -8,26 +8,20 @@ import (
 
 // ServiceOption configures Program.Serve. The zero configuration (no
 // options) is a sensible production default: GOMAXPROCS sessions,
-// iteration-level stream scheduling with an 8-stream window, micro-batching
-// for row-separable entries, bounded per-entry admission queues with
-// deadline-aware shedding, and a consecutive-failure circuit breaker.
+// iteration-level stream scheduling with an 8-stream window, request
+// merging for row-separable entries, bounded per-entry admission queues
+// with deadline-aware shedding, and a consecutive-failure circuit breaker.
 type ServiceOption func(*serviceConfig)
 
-// serviceConfig is the resolved option set. ServiceConfig (deprecated)
-// lowers onto the same struct, so both construction paths share one
-// builder.
+// serviceConfig is the resolved option set.
 type serviceConfig struct {
 	workers          int
-	disableBatching  bool
-	maxBatch         int
-	maxDelay         time.Duration
 	maxQueue         int
 	requestTimeout   time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	lanes            int
 	schedWindow      int
-	pinStreams       bool
 	// sharedStorage attaches every session to a cross-program storage
 	// tier. Set only by the Registry (no public option): sharing buffer
 	// memory across services is a property of co-hosting models, not of
@@ -69,26 +63,6 @@ func WithPriorityLanes(n int) ServiceOption { return func(c *serviceConfig) { c.
 // under the continuous-batching scheduler — the iteration-level batch size
 // (default 8).
 func WithSchedulerWindow(n int) ServiceOption { return func(c *serviceConfig) { c.schedWindow = n } }
-
-// WithoutBatching turns micro-batching off; every request dispatches
-// individually over the pool.
-func WithoutBatching() ServiceOption { return func(c *serviceConfig) { c.disableBatching = true } }
-
-// WithBatchWindow tunes the micro-batcher: maxBatch bounds how many
-// requests one dispatch coalesces (default 16), maxDelay how long the
-// first request waits for company (default 200µs).
-func WithBatchWindow(maxBatch int, maxDelay time.Duration) ServiceOption {
-	return func(c *serviceConfig) {
-		c.maxBatch = maxBatch
-		c.maxDelay = maxDelay
-	}
-}
-
-// WithPinnedStreams restores the pre-scheduler behavior: each stream
-// checks out a pooled session and holds it for its whole run. Exists for
-// A/B measurement of the continuous-batching scheduler and as an escape
-// hatch; expect worse tail latency under concurrent streams.
-func WithPinnedStreams() ServiceOption { return func(c *serviceConfig) { c.pinStreams = true } }
 
 // InvokeOption attaches per-request scheduling hints to Service.InvokeOpts
 // and InvokeStreamOpts.

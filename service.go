@@ -12,48 +12,11 @@ import (
 	"nimble/internal/vm"
 )
 
-// ServiceConfig parameterizes the deprecated NewService constructor. New
-// code should use Program.Serve with ServiceOption values; each field here
-// corresponds to one option (Workers → WithWorkers, and so on). The zero
-// value remains a sensible production default.
-//
-// Deprecated: use Program.Serve with functional options. ServiceConfig
-// predates the scheduler knobs (WithPriorityLanes, WithSchedulerWindow)
-// and will not grow them; it remains for one release as a shim.
-type ServiceConfig struct {
-	// Workers is the session-pool size (default GOMAXPROCS).
-	Workers int
-	// DisableBatching turns micro-batching off; every request then
-	// dispatches individually over the pool.
-	DisableBatching bool
-	// MaxBatch bounds how many requests one dispatch may coalesce
-	// (default 16).
-	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company (default 200µs).
-	MaxDelay time.Duration
-	// MaxQueue bounds each entry's admitted-but-waiting requests; arrivals
-	// beyond it are shed with ErrOverloaded instead of queuing unboundedly
-	// (default 4×Workers). Negative disables admission queue bounds.
-	MaxQueue int
-	// RequestTimeout is a per-request deadline applied inside Invoke when
-	// the caller's context has none (default 0 = none). Requests whose
-	// deadline the current backlog cannot meet are shed on arrival.
-	RequestTimeout time.Duration
-	// BreakerThreshold opens an entry's circuit breaker after this many
-	// consecutive internal faults (panics), shedding its traffic for
-	// BreakerCooldown and flipping Health to degraded (default 8;
-	// negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker sheds before probing
-	// again (default 1s).
-	BreakerCooldown time.Duration
-}
-
 // PoolStats re-exports the session-pool counters.
 type PoolStats = serve.Stats
 
-// BatcherStats re-exports the micro-batcher counters.
+// BatcherStats re-exports the per-entry merge counters of a row-separable
+// entry: merged dispatches, requests dispatched alone, requests coalesced.
 type BatcherStats = serve.BatchStats
 
 // GateStats re-exports the per-entry admission-control counters.
@@ -64,7 +27,7 @@ type GateStats = serve.GateStats
 // and shed counts.
 type SchedulerStats = serve.SchedStats
 
-// ServiceStats snapshots a service's pool, batcher, admission, and
+// ServiceStats snapshots a service's pool, merge, admission, and
 // scheduler counters.
 type ServiceStats struct {
 	Pool       PoolStats        `json:"pool"`
@@ -88,9 +51,9 @@ type Health struct {
 }
 
 // Service executes one Program for concurrent callers: a pool of VM
-// sessions shares the frozen executable, entries the compiler proved
-// row-separable additionally get a micro-batcher, and every entry is
-// fronted by an admission gate — a bounded queue with deadline-aware load
+// sessions shares the frozen executable, requests for entries the compiler
+// proved row-separable merge with whatever queued behind them while the
+// sessions were busy, and every entry is fronted by an admission gate — a bounded queue with deadline-aware load
 // shedding and a consecutive-failure circuit breaker — so overload
 // produces fast typed ErrOverloaded rejections instead of unbounded
 // queueing.
@@ -109,7 +72,6 @@ type Health struct {
 type Service struct {
 	p          *Program
 	pool       *serve.Pool
-	batchers   map[string]*serve.Batcher
 	gates      map[string]*serve.Gate
 	schedulers map[string]*serve.Scheduler
 	lanes      int
@@ -121,33 +83,14 @@ type Service struct {
 // Serve builds a concurrent serving runtime over the program. With no
 // options the defaults serve well: GOMAXPROCS sessions, the
 // continuous-batching stream scheduler with an 8-stream window, bounded
-// admission queues, micro-batching for row-separable entries, and per-entry
-// circuit breakers. See ServiceOption for the knobs.
+// admission queues, request merging for row-separable entries, and
+// per-entry circuit breakers. See ServiceOption for the knobs.
 func (p *Program) Serve(opts ...ServiceOption) (*Service, error) {
 	var cfg serviceConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return p.buildService(cfg)
-}
-
-// NewService builds a concurrent serving runtime over the program.
-//
-// Deprecated: use Program.Serve with functional options; NewService
-// remains as a shim for one release. The scheduler-era knobs
-// (WithPriorityLanes, WithSchedulerWindow, WithPinnedStreams) exist only
-// as options.
-func (p *Program) NewService(cfg ServiceConfig) (*Service, error) {
-	return p.buildService(serviceConfig{
-		workers:          cfg.Workers,
-		disableBatching:  cfg.DisableBatching,
-		maxBatch:         cfg.MaxBatch,
-		maxDelay:         cfg.MaxDelay,
-		maxQueue:         cfg.MaxQueue,
-		requestTimeout:   cfg.RequestTimeout,
-		breakerThreshold: cfg.BreakerThreshold,
-		breakerCooldown:  cfg.BreakerCooldown,
-	})
 }
 
 func (p *Program) buildService(cfg serviceConfig) (*Service, error) {
@@ -167,12 +110,12 @@ func (p *Program) buildService(cfg serviceConfig) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		p:        p,
-		pool:     pool,
-		batchers: map[string]*serve.Batcher{},
-		gates:    map[string]*serve.Gate{},
-		lanes:    lanes,
-		timeout:  cfg.requestTimeout,
+		p:          p,
+		pool:       pool,
+		gates:      map[string]*serve.Gate{},
+		schedulers: map[string]*serve.Scheduler{},
+		lanes:      lanes,
+		timeout:    cfg.requestTimeout,
 	}
 	for _, name := range p.names {
 		s.gates[name] = serve.NewGate(serve.GateConfig{
@@ -182,28 +125,13 @@ func (p *Program) buildService(cfg serviceConfig) (*Service, error) {
 			BreakerThreshold: cfg.breakerThreshold,
 			BreakerCooldown:  cfg.breakerCooldown,
 		})
-	}
-	if !cfg.pinStreams {
-		s.schedulers = map[string]*serve.Scheduler{}
-		for _, name := range p.names {
-			s.schedulers[name] = serve.NewScheduler(pool, serve.SchedConfig{
-				Entry:  name,
-				Window: cfg.schedWindow,
-				Lanes:  lanes,
-			})
-		}
-	}
-	if !cfg.disableBatching {
-		maxBatch := cfg.maxBatch
-		if maxBatch <= 0 {
-			maxBatch = 16
-		}
-		for _, name := range p.names {
-			if p.entries[name].RowSeparable {
-				s.batchers[name] = serve.NewBatcher(pool, serve.BatchConfig{
-					Entry: name, MaxBatch: maxBatch, MaxDelay: cfg.maxDelay,
-				})
-			}
+		s.schedulers[name] = serve.NewScheduler(pool, serve.SchedConfig{
+			Entry:  name,
+			Window: cfg.schedWindow,
+			Lanes:  lanes,
+		})
+		if p.entries[name].RowSeparable {
+			pool.MergeRows(name)
 		}
 	}
 	return s, nil
@@ -242,9 +170,10 @@ func (s *Service) resolveInvokeOpts(ctx context.Context, opts []InvokeOption) (c
 	return ctx, cancel, lane
 }
 
-// Invoke runs the named entry function, routing through the micro-batcher
-// when the entry is row-separable and the call is the single-tensor form,
-// and through the session pool otherwise. Before dispatch the request
+// Invoke runs the named entry function over the session pool: at once on
+// the caller's goroutine when a session is free, otherwise from the pool's
+// queue, where a single-tensor call to a row-separable entry may merge with
+// compatible requests into one dispatch. Before dispatch the request
 // passes validation (ErrBadInput without consuming a session) and the
 // entry's admission gate (ErrOverloaded with a Retry-After hint when the
 // queue is full, the deadline is unmeetable, or the circuit breaker is
@@ -256,8 +185,9 @@ func (s *Service) Invoke(ctx context.Context, entry string, args ...Value) (Valu
 }
 
 // InvokeOpts is Invoke with per-request options: WithPriority selects the
-// pool lane the request waits in under contention, WithDeadlineBudget
-// tightens its deadline from arrival.
+// pool lane the request waits in under contention (merged requests
+// included), WithDeadlineBudget tightens its deadline from arrival, which
+// also orders the queue within a lane.
 func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, opts ...InvokeOption) (Value, error) {
 	if s.closed.Load() {
 		return Value{}, fmt.Errorf("nimble: service: %w", ErrClosed)
@@ -289,9 +219,9 @@ func (s *Service) InvokeOpts(ctx context.Context, entry string, args []Value, op
 // (ErrBadInput), the entry's gate (ErrOverloaded with a Retry-After hint),
 // and the scheduler's deadline projection all happen before InvokeStream
 // returns, so a server can map an open failure to a proper HTTP status
-// before it commits to a streaming response. Streams bypass the
-// micro-batcher — per-token emission is inherently per-request — and run
-// under the continuous-batching scheduler instead: the stream owns no
+// before it commits to a streaming response. Streams never merge —
+// per-token emission is inherently per-request — and run under the
+// continuous-batching scheduler instead: the stream owns no
 // session; its decode loop is stepped one iteration at a time, interleaved
 // with other streams on whichever session adopts it.
 //
@@ -330,57 +260,28 @@ func (s *Service) InvokeStreamOpts(ctx context.Context, entry string, args []Val
 	}
 	s.inflight.Add(1)
 	start := time.Now()
-	fail := func(err error) (*Stream, error) {
-		release(time.Since(start), err)
-		s.inflight.Add(-1)
-		cancelT()
-		return nil, err
-	}
-	// Same race rule as Invoke: the closed flag is re-checked inside the
-	// in-flight window so an open racing Shutdown either drains or rejects.
-	if s.closed.Load() {
-		return fail(fmt.Errorf("nimble: service: %w", ErrClosed))
-	}
 	cleanup := func(err error) {
 		release(time.Since(start), err)
 		s.inflight.Add(-1)
 		cancelT()
 	}
-	if sched, ok := s.schedulers[entry]; ok {
-		st := runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-			return sched.Stream(runCtx, lane, sink, entry, objs...)
-		}, cleanup)
-		return st, nil
-	}
-	// Pinned mode (WithPinnedStreams): the stream checks out a session and
-	// holds it for its whole run.
-	sess, err := s.pool.AcquireLane(ctx, lane)
-	if err != nil {
-		return fail(err)
-	}
-	st := runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
-		return sess.InvokeStream(runCtx, sink, entry, objs...)
-	}, func(err error) {
-		s.pool.Release(sess)
-		s.pool.Note(err)
+	// Same race rule as Invoke: the closed flag is re-checked inside the
+	// in-flight window so an open racing Shutdown either drains or rejects.
+	if s.closed.Load() {
+		err := fmt.Errorf("nimble: service: %w", ErrClosed)
 		cleanup(err)
-	})
-	return st, nil
+		return nil, err
+	}
+	sched := s.schedulers[entry]
+	return runStream(ctx, func(runCtx context.Context, sink func(*tensor.Tensor) error) (vm.Object, error) {
+		return sched.Stream(runCtx, lane, sink, entry, objs...)
+	}, cleanup), nil
 }
 
-// dispatch routes one admitted request to the batcher or the pool.
+// dispatch runs one admitted request over the pool.
 func (s *Service) dispatch(ctx context.Context, entry string, lane int, args []Value) (Value, error) {
 	if s.closed.Load() {
 		return Value{}, fmt.Errorf("nimble: service: %w", ErrClosed)
-	}
-	if b, ok := s.batchers[entry]; ok && len(args) == 1 {
-		if t, isTensor := args[0].Tensor(); isTensor && t != nil && t.Rank() >= 1 {
-			out, err := b.Invoke(ctx, t)
-			if err != nil {
-				return Value{}, err
-			}
-			return TensorValue(out), nil
-		}
 	}
 	objs := make([]vm.Object, len(args))
 	for i, a := range args {
@@ -401,13 +302,11 @@ func (s *Service) dispatch(ctx context.Context, entry string, lane int, args []V
 func (s *Service) Stats() ServiceStats {
 	st := ServiceStats{Pool: s.pool.Stats()}
 	for _, name := range s.p.names {
-		if b, ok := s.batchers[name]; ok {
-			st.Batchers = append(st.Batchers, b.Stats())
+		if b, ok := s.pool.BatchStats(name); ok {
+			st.Batchers = append(st.Batchers, b)
 		}
 		st.Gates = append(st.Gates, s.gates[name].Stats())
-		if sc, ok := s.schedulers[name]; ok {
-			st.Schedulers = append(st.Schedulers, sc.Stats())
-		}
+		st.Schedulers = append(st.Schedulers, s.schedulers[name].Stats())
 	}
 	return st
 }
@@ -429,45 +328,25 @@ func (s *Service) Health() Health {
 }
 
 // Shutdown closes the service gracefully: new Invokes fail immediately
-// with ErrClosed, the batchers drain every request they already accepted,
-// and in-flight invocations get until ctx is done to finish. When the
-// context fires first the schedulers and pool close out from under the
-// stragglers — streams still queued fail with ErrClosed, active decode
-// loops are retired at their next iteration boundary — and Shutdown
-// reports how many were cut loose. A nil error means every admitted
-// request drained.
+// with ErrClosed, and admitted requests — running or still queued for a
+// session — get until ctx is done to finish. When the context fires first
+// the schedulers and pool close out from under the stragglers — requests
+// and streams still queued fail with ErrClosed, active decode loops are
+// retired at their next iteration boundary — and Shutdown reports how many
+// were cut loose. A nil error means every admitted request drained.
 func (s *Service) Shutdown(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	// Drain the batchers bounded by the same context: Close answers every
-	// accepted request (the pool is still open), but a wedged dispatch
-	// must not wedge Shutdown.
-	batchersDone := make(chan struct{})
-	go func() {
-		for _, b := range s.batchers {
-			b.Close()
-		}
-		close(batchersDone)
-	}()
-	var cut bool
-	select {
-	case <-batchersDone:
-	case <-ctx.Done():
-		cut = true
-	}
-	if !cut {
-		// Wait for in-flight requests; poll — shutdown is not a hot path.
-		tick := time.NewTicker(200 * time.Microsecond)
-		defer tick.Stop()
-	drain:
-		for s.inflight.Load() > 0 {
-			select {
-			case <-ctx.Done():
-				cut = true
-				break drain
-			case <-tick.C:
-			}
+	// Wait for in-flight requests; poll — shutdown is not a hot path.
+	tick := time.NewTicker(200 * time.Microsecond)
+	defer tick.Stop()
+	cut := false
+	for !cut && s.inflight.Load() > 0 {
+		select {
+		case <-ctx.Done():
+			cut = true
+		case <-tick.C:
 		}
 	}
 	stragglers := s.inflight.Load()
